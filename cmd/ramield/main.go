@@ -15,7 +15,6 @@
 //	ramield -models bert -prune -max-batch 8 -flush 3ms -switched
 //	ramield -models squeezenet -max-batch 4,squeezenet=8 -flush 2ms,squeezenet=500us
 //	ramield -load mymodel=path/to/model.onnx.json.gz -addr :9090
-//	ramield -models squeezenet -replicas 4        # in-process fleet
 //
 //	curl localhost:8080/v1/models
 //	curl -X POST localhost:8080/v1/infer -d '{"model":"squeezenet","seed":1}'
@@ -34,16 +33,9 @@
 // at low load and growing batches under pressure; -adaptive=false restores
 // the static flush timeout as a manual fallback.
 //
-// Fleet: -replicas N (N > 1) runs N identical serving replicas in one
-// process behind the fleet front (consistent-hash routing by model,
-// queue-watermark spillover, deadline-feasibility admission control); the
-// front's API (see internal/fleet) is served on -addr in place of the
-// single-server API. Failed attempts retry on the next ring member up to
-// -max-attempts (bounded by a fleet-wide retry budget), -hedge launches a
-// speculative duplicate when a replica sits on a request, and
-// -breaker-threshold consecutive failures eject a replica from routing
-// until a half-open probe readmits it. Multi-host fleets run one ramield
-// per host behind cmd/ramielfe instead.
+// Fleet: ramield serves one runtime. cmd/ramielfe fronts several — one
+// ramield per host, or in-process replicas with -inproc N — with routing,
+// admission, retries and circuit breakers.
 //
 // On SIGTERM/SIGINT the daemon drains: /readyz flips to 503 first (so load
 // balancers stop routing), then the listener closes gracefully and
@@ -51,7 +43,7 @@
 //
 // Resource governance is on by default: the daemon detects the tightest
 // cgroup/system memory limit and budgets 80% of it (-mem-budget overrides
-// in bytes; negative disables), split across replicas. The budget drives
+// in bytes; negative disables). The budget drives
 // memory-feasibility admission (429 cause "memory" with a Retry-After
 // drain estimate), caps the session arenas (a run outgrowing the budget
 // mid-flight fails alone with cause "memory" and its session is released
@@ -88,7 +80,6 @@ import (
 	"time"
 
 	ramiel "repro"
-	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
@@ -169,16 +160,11 @@ func main() {
 	loads := flag.String("load", "", "comma-separated name=path pairs of ONNX-subset model files to serve")
 	img := flag.Int("img", 32, "image size for zoo vision models")
 
-	workers := flag.Int("workers", 0, "concurrent plan executions per replica (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent plan executions (0 = GOMAXPROCS)")
 	maxBatchSpec := flag.String("max-batch", "4", `micro-batch cap, with optional per-model overrides "4,bert=8" (1 disables coalescing)`)
 	flushSpec := flag.String("flush", "2ms", `micro-batch flush window, with optional per-model overrides "2ms,bert=500us" (the cap when -adaptive)`)
 	adaptive := flag.Bool("adaptive", true, "latency-aware flush windows from live queue/exec histograms (-flush becomes the cap)")
-	replicasN := flag.Int("replicas", 1, "in-process serving replicas; >1 serves the fleet front (routing + admission) on -addr")
-	admission := flag.Bool("admission", true, "fleet mode: reject deadline-infeasible requests at enqueue")
-	maxAttempts := flag.Int("max-attempts", 0, "fleet mode: total tries per request across replicas (0 = min(3, replicas); 1 disables retries)")
-	hedge := flag.Duration("hedge", 0, "fleet mode: speculative second attempt on another replica after this wait (0 disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "fleet mode: consecutive replica failures that open its circuit breaker (0 = 5; negative disables)")
-	memBudget := flag.Int64("mem-budget", 0, "memory budget in bytes for admission + arena caps, split across replicas (0 = 80% of cgroup/system memory; negative disables)")
+	memBudget := flag.Int64("mem-budget", 0, "memory budget in bytes for admission + arena caps (0 = 80% of cgroup/system memory; negative disables)")
 	watchdogF := flag.Float64("watchdog", 0, "kill runs exceeding this multiple of the model's live p99 exec time (0 = 20; negative disables)")
 	watchdogFloor := flag.Duration("watchdog-floor", 0, "minimum run age before the watchdog may kill (0 = 2s)")
 	maxBody := flag.Int64("max-body", 0, "POST /v1/infer request-body cap in bytes (0 = 8 MiB; negative disables)")
@@ -201,9 +187,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *replicasN < 1 {
-		log.Fatalf("-replicas %d: want >= 1", *replicasN)
-	}
 
 	budget := *memBudget
 	if budget == 0 {
@@ -211,10 +194,6 @@ func main() {
 	}
 	if budget < 0 {
 		budget = 0
-	}
-	if budget > 0 && *replicasN > 1 {
-		// Each replica governs its own arenas; split the process budget.
-		budget /= int64(*replicasN)
 	}
 
 	cfg := serve.Config{
@@ -239,7 +218,7 @@ func main() {
 		NoFiniteCheck:  !*finiteCheck,
 	}
 	if budget > 0 {
-		log.Printf("memory budget: %d MiB per replica", budget>>20)
+		log.Printf("memory budget: %d MiB", budget>>20)
 	}
 
 	var zoo []string
@@ -247,69 +226,43 @@ func main() {
 		zoo = strings.Split(*modelsFlag, ",")
 	}
 
-	servers := make([]*serve.Server, *replicasN)
-	for i := range servers {
-		srv := serve.New(cfg)
-		if err := srv.RegisterZoo(ramiel.ModelConfig{ImageSize: *img}, zoo...); err != nil {
-			log.Fatal(err)
+	srv := serve.New(cfg)
+	if err := srv.RegisterZoo(ramiel.ModelConfig{ImageSize: *img}, zoo...); err != nil {
+		log.Fatal(err)
+	}
+	for _, pair := range strings.Split(*loads, ",") {
+		if pair == "" {
+			continue
 		}
-		for _, pair := range strings.Split(*loads, ",") {
-			if pair == "" {
-				continue
-			}
-			name, path, ok := strings.Cut(pair, "=")
-			if !ok {
-				log.Fatalf("-load %q: want name=path", pair)
-			}
-			g, err := ramiel.LoadModel(path)
-			if err != nil {
-				log.Fatalf("loading %s: %v", path, err)
-			}
-			srv.RegisterGraph(name, g)
+		name, path, ok := strings.Cut(pair, "=")
+		if !ok {
+			log.Fatalf("-load %q: want name=path", pair)
 		}
-		servers[i] = srv
+		g, err := ramiel.LoadModel(path)
+		if err != nil {
+			log.Fatalf("loading %s: %v", path, err)
+		}
+		srv.RegisterGraph(name, g)
 	}
 
 	if *warm {
-		// /readyz stays 503 until every replica compiled its preload: a
-		// deployment rolling the daemon knows not to route traffic at a
+		// /readyz stays 503 until the preload set compiled: a deployment
+		// rolling the daemon knows not to route traffic at a
 		// still-compiling instance.
 		warmStart := time.Now()
-		for _, srv := range servers {
-			if err := srv.Warm(); err != nil {
-				log.Fatalf("warmup: %v", err)
-			}
+		if err := srv.Warm(); err != nil {
+			log.Fatalf("warmup: %v", err)
 		}
-		log.Printf("warmed %d models x %d replicas in %v", len(servers[0].Registry().Models()),
-			len(servers), time.Since(warmStart).Round(time.Millisecond))
+		log.Printf("warmed %d models in %v", len(srv.Registry().Models()),
+			time.Since(warmStart).Round(time.Millisecond))
 	} else {
 		// No preload set to wait for; ready as soon as we can listen.
-		for _, srv := range servers {
-			srv.MarkReady()
-		}
+		srv.MarkReady()
 	}
 
-	var front *fleet.Front
-	var handler http.Handler
-	if len(servers) > 1 {
-		locals := make([]fleet.Replica, len(servers))
-		for i, srv := range servers {
-			locals[i] = fleet.NewLocal("r"+strconv.Itoa(i), srv)
-		}
-		front = fleet.New(fleet.Config{
-			NoAdmission:      !*admission,
-			Deadline:         *deadline,
-			MaxAttempts:      *maxAttempts,
-			HedgeDelay:       *hedge,
-			BreakerThreshold: *breakerThreshold,
-		}, locals...)
-		handler = front.Handler()
-		log.Printf("fleet front: %d in-process replicas (admission %v)", len(servers), *admission)
-	} else {
-		handler = servers[0].Handler()
-	}
-	log.Printf("serving %v on %s (replicas %d, max-batch %s, flush %s, adaptive %v, arena %v, fusion %v, obs %v, timeline %d)",
-		servers[0].Registry().Models(), *addr, len(servers), *maxBatchSpec, *flushSpec,
+	handler := srv.Handler()
+	log.Printf("serving %v on %s (max-batch %s, flush %s, adaptive %v, arena %v, fusion %v, obs %v, timeline %d)",
+		srv.Registry().Models(), *addr, *maxBatchSpec, *flushSpec,
 		*adaptive, *arena, *fusion, *obsOn, *timelineEvery)
 
 	if *pprofOn {
@@ -340,23 +293,16 @@ func main() {
 
 	// Drain order matters: flip readiness first so health checks pull this
 	// instance out of rotation, then close the listener gracefully (lets
-	// in-flight requests finish), then shut the runtimes down.
+	// in-flight requests finish), then shut the runtime down.
 	log.Print("shutting down: draining")
-	if front != nil {
-		front.BeginDrain()
-	}
-	for _, srv := range servers {
-		srv.BeginDrain()
-	}
+	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)
 	}
-	for _, srv := range servers {
-		if err := srv.Close(shutdownCtx); err != nil {
-			log.Printf("runtime shutdown: %v", err)
-		}
+	if err := srv.Close(shutdownCtx); err != nil {
+		log.Printf("runtime shutdown: %v", err)
 	}
 	fmt.Println("bye")
 }

@@ -28,7 +28,9 @@
 // arena that recycles intermediate tensors across its runs (steady-state
 // inference allocates nothing per run), and WithProfiling records each
 // run's per-lane busy/slack profile (Session.Profile). Session.Run
-// validates feeds up front (Program.ValidateFeeds) and honors its context:
+// validates feeds up front (Program.ValidateFeeds; the serving layer runs
+// the same check in serve.Server.Infer, before admission and batching, so
+// HTTP handlers only decode) and honors its context:
 // cancellation and deadlines abort an in-flight run cooperatively between
 // operator kernels, with no goroutine leaks and the arena left reusable.
 //

@@ -20,8 +20,8 @@
 //     what cannot finish, and each replica sizes its micro-batch windows
 //     from the live arrival rate and execution histograms.
 //
-// cmd/ramielfe exposes a Front over HTTP; ramield -replicas N runs an
-// in-process fleet in one process.
+// cmd/ramielfe exposes a Front over HTTP, over remote daemons and/or
+// in-process replicas (-inproc N).
 package fleet
 
 import (

@@ -339,6 +339,37 @@ func newLocalServer(t testing.TB, cfg serve.Config) *serve.Server {
 	return srv
 }
 
+// TestFrontMisShapedRequestFailsAlone: through the front's HTTP surface, a
+// request with the right element count but the wrong shape must not poison
+// the micro-batch it would have shared. It fails alone with 400
+// validation; its well-formed companion gets 200.
+func TestFrontMisShapedRequestFailsAlone(t *testing.T) {
+	srv := newLocalServer(t, serve.Config{Workers: 2, MaxBatch: 2, FlushTimeout: 300 * time.Millisecond})
+	h := New(Config{}, NewLocal("r0", srv)).Handler()
+
+	bodies := []string{
+		`{"model":"tiny","inputs":{"x":{"shape":[4],"data":[1,2,3,4]}}}`,
+		`{"model":"tiny","inputs":{"x":{"shape":[2,2],"data":[1,2,3,4]}}}`,
+	}
+	recs := make([]*httptest.ResponseRecorder, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		recs[i] = httptest.NewRecorder()
+		wg.Add(1)
+		go func(rec *httptest.ResponseRecorder, body string) {
+			defer wg.Done()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body)))
+		}(recs[i], body)
+	}
+	wg.Wait()
+	if recs[0].Code != http.StatusOK {
+		t.Errorf("well-formed request: status %d, want 200 (%s)", recs[0].Code, recs[0].Body)
+	}
+	if recs[1].Code != http.StatusBadRequest || !strings.Contains(recs[1].Body.String(), `"cause":"validation"`) {
+		t.Errorf("mis-shaped request: status %d body %s, want 400 with cause validation", recs[1].Code, recs[1].Body)
+	}
+}
+
 func TestRemoteReplicaRoundTrip(t *testing.T) {
 	srv := newLocalServer(t, serve.Config{Workers: 2, MaxBatch: 1})
 	ts := httptest.NewServer(srv.Handler())

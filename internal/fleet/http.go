@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,22 +29,16 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", f.handleFleet)
 	mux.HandleFunc("/metrics", f.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if f.Ready() {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // causeOf labels a fleet error for the response body: shed causes use the
@@ -84,68 +76,20 @@ func statusFor(err error) int {
 	return serve.StatusFor(err)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, serve.ErrorResponse{Error: err.Error(), Cause: causeOf(err)})
-}
-
+// handleInfer decodes and encodes through serve's wire format and keeps
+// only what is the front's own: placement headers, shed statuses with
+// Retry-After, and the fleet's error classes.
 func (f *Front) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
-		return
-	}
-	if f.cfg.MaxBodyBytes > 0 {
-		// Same body cap the daemons apply: the front must not buffer an
-		// unbounded JSON payload on behalf of a replica that would refuse it.
-		r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	}
-	var req serve.InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w (limit %d bytes)", serve.ErrBodyTooLarge, mbe.Limit))
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
-		return
-	}
-	if req.Model == "" {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "missing \"model\""})
-		return
-	}
-	feeds := ramiel.Env{}
-	switch {
-	case len(req.Inputs) > 0:
-		for name, tj := range req.Inputs {
-			shape := ramiel.NewShape(tj.Shape...)
-			if !shape.Valid() || shape.Numel() != len(tj.Data) {
-				writeJSON(w, http.StatusBadRequest,
-					serve.ErrorResponse{Error: fmt.Sprintf("input %q: shape %v inconsistent with %d values", name, tj.Shape, len(tj.Data))})
-				return
-			}
-			feeds[name] = ramiel.NewTensor(shape, tj.Data)
-		}
-	case req.Seed != nil:
-		// Seed mode needs a graph to derive feeds from; any in-process
-		// replica can supply it. A purely remote fleet forwards inputs
-		// only.
-		var err error
+	req, feeds, err := serve.DecodeInfer(w, r, f.cfg.MaxBodyBytes)
+	if err == nil && feeds == nil {
 		feeds, err = f.seedFeeds(req.Model, *req.Seed)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
-			return
-		}
-	default:
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "provide \"inputs\" or \"seed\""})
+	}
+	if err != nil {
+		serve.WriteError(w, statusFor(err), causeOf(err), err)
 		return
 	}
-
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := req.WithTimeout(r.Context())
+	defer cancel()
 	outs, meta, info, err := f.Infer(ctx, req.Model, feeds, req.NoBatch)
 	if info.Replica != "" {
 		w.Header().Set("X-Fleet-Replica", info.Replica)
@@ -162,45 +106,35 @@ func (f *Front) handleInfer(w http.ResponseWriter, r *http.Request) {
 			secs := int(info.PredictedWait/time.Second) + 1
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		writeError(w, code, err)
+		serve.WriteError(w, code, causeOf(err), err)
 		return
 	}
-	resp := serve.InferResponse{
-		Model:       req.Model,
-		RequestID:   meta.RequestID,
-		Outputs:     make(map[string]serve.TensorJSON, len(outs)),
-		BatchSize:   meta.BatchSize,
-		LatencyUs:   meta.Latency.Microseconds(),
-		BatchWaitUs: meta.BatchWait.Microseconds(),
-		QueueWaitUs: meta.QueueWait.Microseconds(),
-		ExecUs:      meta.Exec.Microseconds(),
-	}
-	for name, t := range outs {
-		resp.Outputs[name] = serve.TensorJSON{Shape: t.Shape(), Data: t.Data()}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, serve.NewInferResponse(req.Model, outs, meta))
 }
 
 // seedFeeds builds deterministic random feeds from the first in-process
-// replica that knows the model.
+// replica that knows the model. Otherwise the last in-process replica's
+// error stands (an unknown model is a 404, as on ramield); a purely remote
+// fleet cannot generate feeds and takes "inputs" only.
 func (f *Front) seedFeeds(model string, seed uint64) (ramiel.Env, error) {
+	err := fmt.Errorf("%w: seed mode needs an in-process replica (remote fleets take \"inputs\")", serve.ErrBadRequest)
 	for _, r := range f.replicas {
 		if s, ok := r.(feedSeeder); ok {
-			feeds, err := s.RandomFeeds(model, seed)
-			if err == nil {
+			var feeds ramiel.Env
+			if feeds, err = s.RandomFeeds(model, seed); err == nil {
 				return feeds, nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("seed mode needs an in-process replica holding %q (remote fleets take \"inputs\")", model)
+	return nil, err
 }
 
 func (f *Front) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
+		serve.WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"))
 		return
 	}
-	writeJSON(w, http.StatusOK, f.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, f.Snapshot())
 }
 
 // handleMetrics renders the fleet-level Prometheus families. Replica and

@@ -19,8 +19,7 @@ import (
 // Remote is a fleet replica reached over the ramield HTTP API. Health,
 // readiness, load, and worker count come from periodic probes of /readyz
 // and /v1/stats (StartProbing), so the routing hot path only reads
-// atomics; Infer posts /v1/infer with the same wire types the daemon
-// serves.
+// atomics; Infer posts /v1/infer through serve's wire format.
 type Remote struct {
 	name   string
 	base   string // e.g. "http://host:8080", no trailing slash
@@ -217,24 +216,12 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// Infer posts one request to the replica's /v1/infer. The caller context's
-// deadline rides along as timeout_ms so the replica's own admission and
-// deadline handling see the same budget.
+// Infer posts one request to the replica's /v1/infer, encoded and decoded
+// by serve's wire format. The caller context's deadline rides along as
+// timeout_ms so the replica's own admission and deadline handling see the
+// same budget.
 func (r *Remote) Infer(ctx context.Context, model string, feeds ramiel.Env, noBatch bool) (ramiel.Env, serve.InferMeta, error) {
-	req := serve.InferRequest{
-		Model:   model,
-		Inputs:  make(map[string]serve.TensorJSON, len(feeds)),
-		NoBatch: noBatch,
-	}
-	for name, t := range feeds {
-		req.Inputs[name] = serve.TensorJSON{Shape: t.Shape(), Data: t.Data()}
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.TimeoutMs = int(ms)
-		}
-	}
-	body, err := json.Marshal(req)
+	body, err := serve.EncodeInferRequest(ctx, model, feeds, noBatch)
 	if err != nil {
 		return nil, serve.InferMeta{}, err
 	}
@@ -254,39 +241,18 @@ func (r *Remote) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var er serve.ErrorResponse
-		msg := resp.Status
-		if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<16)); rerr == nil {
-			if jerr := json.Unmarshal(b, &er); jerr == nil && er.Error != "" {
-				msg = er.Error
-			}
-		}
-		return nil, serve.InferMeta{}, &ReplicaError{Replica: r.name, Status: resp.StatusCode, Cause: er.Cause, Msg: msg}
+		er := serve.DecodeErrorResponse(resp)
+		return nil, serve.InferMeta{}, &ReplicaError{Replica: r.name, Status: resp.StatusCode, Cause: er.Cause, Msg: er.Error}
 	}
-	var ir serve.InferResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+	outs, meta, err := serve.DecodeInferResponse(resp.Body)
+	if err != nil {
 		if ctx.Err() != nil {
 			return nil, serve.InferMeta{}, ctx.Err()
 		}
-		// A 200 whose body did not parse is a connection that died
-		// mid-response: transport-class, retryable.
-		return nil, serve.InferMeta{}, &TransportError{Replica: r.name, Err: fmt.Errorf("decoding response: %w", err)}
-	}
-	outs := make(ramiel.Env, len(ir.Outputs))
-	for name, tj := range ir.Outputs {
-		shape := ramiel.NewShape(tj.Shape...)
-		if !shape.Valid() || shape.Numel() != len(tj.Data) {
-			return nil, serve.InferMeta{}, fmt.Errorf("fleet: replica %s: output %q has inconsistent shape %v", r.name, name, tj.Shape)
-		}
-		outs[name] = ramiel.NewTensor(shape, tj.Data)
-	}
-	meta := serve.InferMeta{
-		RequestID: ir.RequestID,
-		BatchSize: ir.BatchSize,
-		Latency:   time.Duration(ir.LatencyUs) * time.Microsecond,
-		BatchWait: time.Duration(ir.BatchWaitUs) * time.Microsecond,
-		QueueWait: time.Duration(ir.QueueWaitUs) * time.Microsecond,
-		Exec:      time.Duration(ir.ExecUs) * time.Microsecond,
+		// A 200 whose body does not decode is a connection that died
+		// mid-response or a replica sending garbage: transport-class,
+		// retryable elsewhere.
+		return nil, serve.InferMeta{}, &TransportError{Replica: r.name, Err: err}
 	}
 	return outs, meta, nil
 }

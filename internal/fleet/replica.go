@@ -60,8 +60,8 @@ type feedSeeder interface {
 }
 
 // Local is an in-process replica: a serve.Server running in the same
-// process as the front. This is single-host fleet mode (ramield
-// -replicas N) and what the -race soak tests exercise.
+// process as the front. This is single-host fleet mode (ramielfe
+// -inproc N) and what the -race soak tests exercise.
 type Local struct {
 	name string
 	srv  *serve.Server

@@ -26,10 +26,6 @@ var ErrMemoryPressure = errors.New("serve: memory budget exceeded, shedding")
 // stuck-run watchdog. HTTP maps it to 504 with cause "watchdog".
 var ErrWatchdogKilled = errors.New("serve: run killed by stuck-run watchdog")
 
-// ErrBodyTooLarge marks an HTTP request body rejected by the MaxBodyBytes
-// cap (413, cause "body_too_large").
-var ErrBodyTooLarge = errors.New("serve: request body too large")
-
 // DetectMemoryBudget returns a default memory budget for this process: the
 // given fraction (≤ 0 means 0.8) of the tightest limit among the cgroup v2
 // memory.max, the cgroup v1 limit, and /proc/meminfo MemTotal. Zero when

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -16,53 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
-
-// TensorJSON is the wire form of a dense float32 tensor.
-type TensorJSON struct {
-	Shape []int     `json:"shape"`
-	Data  []float32 `json:"data"`
-}
-
-// toTensor validates and converts the wire form.
-func (tj TensorJSON) toTensor() (*ramiel.Tensor, error) {
-	shape := ramiel.NewShape(tj.Shape...)
-	if !shape.Valid() {
-		return nil, fmt.Errorf("invalid shape %v", tj.Shape)
-	}
-	if shape.Numel() != len(tj.Data) {
-		return nil, fmt.Errorf("shape %v wants %d values, got %d", tj.Shape, shape.Numel(), len(tj.Data))
-	}
-	return ramiel.NewTensor(shape, tj.Data), nil
-}
-
-func fromTensor(t *ramiel.Tensor) TensorJSON {
-	return TensorJSON{Shape: t.Shape(), Data: t.Data()}
-}
-
-// InferRequest is the body of POST /v1/infer. Either Inputs carries the
-// full feed, or Seed asks the server to generate deterministic random
-// inputs (handy for curl smoke tests).
-type InferRequest struct {
-	Model     string                `json:"model"`
-	Inputs    map[string]TensorJSON `json:"inputs,omitempty"`
-	Seed      *uint64               `json:"seed,omitempty"`
-	NoBatch   bool                  `json:"no_batch,omitempty"`
-	TimeoutMs int                   `json:"timeout_ms,omitempty"`
-}
-
-// InferResponse is the body of a successful /v1/infer.
-type InferResponse struct {
-	Model     string                `json:"model"`
-	RequestID uint64                `json:"request_id"`
-	Outputs   map[string]TensorJSON `json:"outputs"`
-	BatchSize int                   `json:"batch_size"`
-	LatencyUs int64                 `json:"latency_us"`
-	// Stage breakdown of LatencyUs (see the stage histograms in /v1/stats):
-	// micro-batch assembly wait, pool queue wait, and session execution.
-	BatchWaitUs int64 `json:"batch_wait_us"`
-	QueueWaitUs int64 `json:"queue_wait_us"`
-	ExecUs      int64 `json:"exec_us"`
-}
 
 // modelInfo is one entry of GET /v1/models.
 type modelInfo struct {
@@ -189,14 +141,6 @@ func readRuntimeStats() runtimeStatsJSON {
 	}
 }
 
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// Cause is the classification label also used by the errors_by_cause
-	// counters and trace spans (validation, compile, execution, deadline,
-	// canceled, shutdown). Empty for errors outside the serving taxonomy.
-	Cause string `json:"cause,omitempty"`
-}
-
 // Handler returns the HTTP API:
 //
 //	GET  /v1/models   — registered models, signatures, cache + stats
@@ -219,56 +163,21 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/timeline", s.handleTimeline)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", s.handleReady)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
-}
-
-// checkFeedSignature verifies client-supplied feeds against the model's
-// declared inputs. Failures wrap ramiel.ErrInvalidFeeds so they classify
-// as CauseValidation and map to 400, same as Session.Run's own check.
-func checkFeedSignature(g *ramiel.Graph, feeds ramiel.Env) error {
-	declared := map[string]bool{}
-	for _, in := range g.Inputs {
-		declared[in.Name] = true
-		t, ok := feeds[in.Name]
-		if !ok {
-			return fmt.Errorf("%w: missing input %q", ramiel.ErrInvalidFeeds, in.Name)
-		}
-		if len(in.Shape) > 0 && !t.Shape().Equal(in.Shape) {
-			return fmt.Errorf("%w: input %q has shape %v, model declares %v",
-				ramiel.ErrInvalidFeeds, in.Name, t.Shape(), in.Shape)
-		}
-	}
-	for name := range feeds {
-		if !declared[name] {
-			return fmt.Errorf("%w: unknown input %q", ramiel.ErrInvalidFeeds, name)
-		}
-	}
-	return nil
-}
-
-// writeInferError is writeError for failures of a dispatched inference
-// request, which carry a cause label from the serving taxonomy.
-func writeInferError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorResponse{Error: err.Error(), Cause: causeOf(err).String()})
+// writeInferError writes a failed /v1/infer with the status and cause of
+// the serving taxonomy.
+func writeInferError(w http.ResponseWriter, err error) {
+	WriteError(w, StatusFor(err), CauseOf(err).String(), err)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"))
 		return
 	}
 	var infos []modelInfo
@@ -293,77 +202,20 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"models": infos})
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.cfg.MaxBodyBytes > 0 {
-		// Bound the body before the decoder touches it: an unbounded JSON
-		// array must not be able to allocate past the configured cap.
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeInferError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Model == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing \"model\""))
-		return
-	}
-	feeds := ramiel.Env{}
-	switch {
-	case len(req.Inputs) > 0:
-		for name, tj := range req.Inputs {
-			t, err := tj.toTensor()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("input %q: %w", name, err))
-				return
-			}
-			feeds[name] = t
-		}
-		// Validate against the model signature up front so a bad request
-		// is a 400, not a poisoned micro-batch deep in the executor. These
-		// rejections count as validation errors for the model just like
-		// feed failures caught later by Session.Run.
-		g, err := s.reg.Graph(req.Model)
-		if err != nil {
-			writeError(w, StatusFor(err), err)
-			return
-		}
-		if err := checkFeedSignature(g, feeds); err != nil {
-			s.modelStats(req.Model).noteError(CauseValidation)
-			writeInferError(w, http.StatusBadRequest, err)
-			return
-		}
-	case req.Seed != nil:
-		var err error
+	req, feeds, err := DecodeInfer(w, r, s.cfg.MaxBodyBytes)
+	if err == nil && feeds == nil {
 		feeds, err = s.RandomFeeds(req.Model, *req.Seed)
-		if err != nil {
-			writeError(w, StatusFor(err), err)
-			return
-		}
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("provide \"inputs\" or \"seed\""))
+	}
+	if err != nil {
+		writeInferError(w, err)
 		return
 	}
-
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := req.WithTimeout(r.Context())
+	defer cancel()
 	outs, meta, err := s.Infer(ctx, req.Model, feeds, req.NoBatch)
 	if meta.RequestID != 0 {
 		w.Header().Set("X-Request-ID", strconv.FormatUint(meta.RequestID, 10))
@@ -375,23 +227,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After",
 				strconv.Itoa(int(s.memRetryAfter(req.Model)/time.Second)+1))
 		}
-		writeInferError(w, StatusFor(err), err)
+		writeInferError(w, err)
 		return
 	}
-	resp := InferResponse{
-		Model:       req.Model,
-		RequestID:   meta.RequestID,
-		Outputs:     make(map[string]TensorJSON, len(outs)),
-		BatchSize:   meta.BatchSize,
-		LatencyUs:   meta.Latency.Microseconds(),
-		BatchWaitUs: meta.BatchWait.Microseconds(),
-		QueueWaitUs: meta.QueueWait.Microseconds(),
-		ExecUs:      meta.Exec.Microseconds(),
-	}
-	for name, t := range outs {
-		resp.Outputs[name] = fromTensor(t)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, NewInferResponse(req.Model, outs, meta))
 }
 
 // handleTrace serves GET /v1/trace: the most recent request spans, newest
@@ -399,18 +238,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // or above Config.SlowThreshold) instead of the recent ring.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"))
 		return
 	}
 	if !s.obs {
-		writeError(w, http.StatusNotImplemented, errors.New("tracing disabled (server started with telemetry off)"))
+		WriteError(w, http.StatusNotImplemented, "", errors.New("tracing disabled (server started with telemetry off)"))
 		return
 	}
 	n := 0
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", v))
+			WriteError(w, http.StatusBadRequest, "", fmt.Errorf("invalid n %q", v))
 			return
 		}
 		n = parsed
@@ -425,7 +264,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"slow":  slow,
 		"spans": spans,
 	})
@@ -440,24 +279,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // uncompiled or no run has been sampled yet.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"))
 		return
 	}
 	if s.cfg.TimelineEvery < 1 {
-		writeError(w, http.StatusNotImplemented,
+		WriteError(w, http.StatusNotImplemented, "",
 			errors.New("timeline recording disabled (start the server with TimelineEvery > 0)"))
 		return
 	}
 	model := r.URL.Query().Get("model")
 	if model == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing \"model\""))
+		WriteError(w, http.StatusBadRequest, "", errors.New("missing \"model\""))
 		return
 	}
 	batch := 1
 	if v := r.URL.Query().Get("batch"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid batch %q", v))
+			WriteError(w, http.StatusBadRequest, "", fmt.Errorf("invalid batch %q", v))
 			return
 		}
 		batch = parsed
@@ -466,13 +305,13 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	// skew the cache counters (same policy as /v1/models and /v1/stats).
 	prog := s.reg.Peek(model, batch)
 	if prog == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound, "",
 			fmt.Errorf("no compiled batch-%d program for %q (not registered, not yet compiled, or failed)", batch, model))
 		return
 	}
 	tl := prog.LastTimeline()
 	if tl == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound, "",
 			fmt.Errorf("no sampled run yet for %q batch %d (sampling 1 in %d)", model, batch, s.cfg.TimelineEvery))
 		return
 	}
@@ -482,7 +321,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := tl.ChromeTrace(process)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, "", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -495,15 +334,15 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 // /healthz, which only says the process is serving HTTP.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.Ready() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		WriteError(w, http.StatusMethodNotAllowed, "", errors.New("GET only"))
 		return
 	}
 	s.mu.Lock()
@@ -537,7 +376,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("calibration") == "1" {
 		resp.Calibration = s.calibrations()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // opTotalsByVariant is opTotals without the merge: per model, each compiled
@@ -636,9 +475,9 @@ func StatusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotRegistered):
 		return http.StatusNotFound
-	case errors.Is(err, ramiel.ErrInvalidFeeds):
-		// Bad feeds are a client error even when they slip past the HTTP
-		// layer's up-front validation (e.g. direct API use).
+	case errors.Is(err, ErrMethodNotAllowed):
+		return http.StatusMethodNotAllowed
+	case errors.Is(err, ramiel.ErrInvalidFeeds), errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

@@ -453,53 +453,33 @@ func TestHTTPInferExplicitInputs(t *testing.T) {
 	}
 }
 
-func TestHTTPErrors(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1})
+// TestInferMisShapedFailsAlone: Server.Infer checks feeds before batching,
+// so a request with the right element count but the wrong shape fails
+// alone with a validation error, and the well-formed request it would have
+// shared a micro-batch with still succeeds.
+func TestInferMisShapedFailsAlone(t *testing.T) {
+	s := New(Config{Workers: 2, MaxBatch: 2, FlushTimeout: 300 * time.Millisecond})
+	defer s.Close(context.Background())
 	s.RegisterGraph("tiny", tinyModel())
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Close(context.Background())
+
+	bad := ramiel.Env{"x": ramiel.NewTensor(ramiel.NewShape(2, 2), []float32{1, 2, 3, 4})}
+	var wg sync.WaitGroup
+	var goodErr, badErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, _, goodErr = s.Infer(context.Background(), "tiny", tinyFeeds(1), false)
 	}()
-
-	seed := uint64(1)
-	cases := []struct {
-		name string
-		req  InferRequest
-		code int
-	}{
-		{"unknown model", InferRequest{Model: "nope", Seed: &seed}, http.StatusNotFound},
-		{"missing model", InferRequest{Seed: &seed}, http.StatusBadRequest},
-		{"no inputs", InferRequest{Model: "tiny"}, http.StatusBadRequest},
-		{"bad shape", InferRequest{Model: "tiny",
-			Inputs: map[string]TensorJSON{"x": {Shape: []int{3}, Data: []float32{1, 2}}}},
-			http.StatusBadRequest},
-		{"wrong input name", InferRequest{Model: "tiny",
-			Inputs: map[string]TensorJSON{"y": {Shape: []int{4}, Data: []float32{1, 2, 3, 4}}}},
-			http.StatusBadRequest},
-		{"declared shape mismatch", InferRequest{Model: "tiny",
-			Inputs: map[string]TensorJSON{"x": {Shape: []int{2}, Data: []float32{1, 2}}}},
-			http.StatusBadRequest},
-		{"extra input", InferRequest{Model: "tiny",
-			Inputs: map[string]TensorJSON{
-				"x":     {Shape: []int{4}, Data: []float32{1, 2, 3, 4}},
-				"bogus": {Shape: []int{1}, Data: []float32{1}},
-			}}, http.StatusBadRequest},
+	go func() {
+		defer wg.Done()
+		_, _, badErr = s.Infer(context.Background(), "tiny", bad, false)
+	}()
+	wg.Wait()
+	if goodErr != nil {
+		t.Errorf("well-formed request failed: %v", goodErr)
 	}
-	for _, tc := range cases {
-		resp, _ := postInfer(t, ts.URL, tc.req)
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/infer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/infer: status %d, want 405", resp.StatusCode)
+	if !errors.Is(badErr, ramiel.ErrInvalidFeeds) || CauseOf(badErr) != CauseValidation {
+		t.Errorf("mis-shaped request: err = %v (cause %v), want a validation error", badErr, CauseOf(badErr))
 	}
 }
 

@@ -435,22 +435,32 @@ func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 		outs      ramiel.Env
 		batchSize int
 		ts        stageTimes
-		err       error
 	)
-	// Memory-feasibility admission: shed in microseconds (one sentinel
-	// error, no allocation) when the projected working set exceeds the
-	// budget, instead of queueing work the arena will refuse anyway.
-	reserved, admitted := s.gov.admit(s, model)
-	if !admitted {
-		err = ErrMemoryPressure
-	} else {
-		if !s.cfg.NoFiniteCheck {
-			err = ramiel.CheckFiniteFeeds(feeds)
+	// Feeds are checked here, on every route in, before admission and
+	// batching: a bad request fails alone instead of poisoning the batch
+	// it would have joined. The batch-1 program declares the signature;
+	// counting its cache lookup as client traffic only on the unbatched
+	// path keeps the registry hit counters per executed program.
+	maxBatch, _ := s.cfg.tuning(model)
+	batched := maxBatch > 1 && !noBatch
+	prog, err := s.reg.get(model, 1, !batched)
+	if err == nil {
+		err = prog.ValidateFeeds(feeds)
+	}
+	if err == nil && !s.cfg.NoFiniteCheck {
+		err = ramiel.CheckFiniteFeeds(feeds)
+	}
+	if err == nil {
+		// Memory-feasibility admission: shed in microseconds (one sentinel
+		// error, no allocation) when the projected working set exceeds the
+		// budget, instead of queueing work the arena will refuse anyway.
+		reserved, admitted := s.gov.admit(s, model)
+		if !admitted {
+			err = ErrMemoryPressure
+		} else {
+			outs, batchSize, ts, err = s.dispatch(ctx, cancel, model, prog, batched, st, id, feeds)
+			s.gov.release(reserved)
 		}
-		if err == nil {
-			outs, batchSize, ts, err = s.dispatch(ctx, cancel, model, st, id, feeds, noBatch)
-		}
-		s.gov.release(reserved)
 	}
 	total := time.Since(start)
 	meta := InferMeta{
@@ -525,18 +535,15 @@ func (s *Server) record(st *ModelStats, model string, meta InferMeta, ts stageTi
 	}
 }
 
-func (s *Server) dispatch(ctx context.Context, cancel context.CancelFunc, model string, st *ModelStats, id uint64, feeds ramiel.Env, noBatch bool) (ramiel.Env, int, stageTimes, error) {
-	maxBatch, _ := s.cfg.tuning(model)
-	if maxBatch > 1 && !noBatch {
+// dispatch runs validated feeds: through the model's micro-batcher when
+// batched, else as one run of prog, the batch-1 program.
+func (s *Server) dispatch(ctx context.Context, cancel context.CancelFunc, model string, prog *ramiel.Program, batched bool, st *ModelStats, id uint64, feeds ramiel.Env) (ramiel.Env, int, stageTimes, error) {
+	if batched {
 		b := s.batcher(model)
 		if b == nil {
 			return nil, 0, stageTimes{}, ErrShutdown
 		}
 		return b.submit(ctx, feeds)
-	}
-	prog, err := s.reg.Program(model, 1)
-	if err != nil {
-		return nil, 0, stageTimes{}, err
 	}
 	outs, timing, err := s.pool.Do(ctx, func(runCtx context.Context) (ramiel.Env, error) {
 		// Watchdog registration happens on the worker (concurrency ≤ the

@@ -111,7 +111,7 @@ func causeOf(err error) ErrorCause {
 		return CauseMemory
 	case errors.Is(err, ErrBodyTooLarge):
 		return CauseBodyTooLarge
-	case errors.Is(err, ramiel.ErrInvalidFeeds):
+	case errors.Is(err, ramiel.ErrInvalidFeeds), errors.Is(err, ErrBadRequest), errors.Is(err, ErrNotRegistered):
 		return CauseValidation
 	case errors.Is(err, ErrCompile):
 		return CauseCompile

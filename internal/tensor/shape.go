@@ -10,6 +10,8 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -28,16 +30,27 @@ func NewShape(dims ...int) Shape {
 func (s Shape) Rank() int { return len(s) }
 
 // Numel returns the total number of elements, 1 for a scalar (rank 0).
-// A shape containing a negative extent yields 0.
+// An invalid shape (see Valid) yields 0.
 func (s Shape) Numel() int {
-	n := 1
+	n, _ := s.numel()
+	return n
+}
+
+// numel multiplies the extents, reporting false (with n = 0) for a
+// negative extent or a product that overflows int.
+func (s Shape) numel() (n int, ok bool) {
+	n = 1
 	for _, d := range s {
 		if d < 0 {
-			return 0
+			return 0, false
 		}
-		n *= d
+		hi, lo := bits.Mul64(uint64(n), uint64(d))
+		if hi != 0 || lo > math.MaxInt {
+			return 0, false
+		}
+		n = int(lo)
 	}
-	return n
+	return n, true
 }
 
 // Clone returns an independent copy of the shape.
@@ -60,14 +73,12 @@ func (s Shape) Equal(o Shape) bool {
 	return true
 }
 
-// Valid reports whether every extent is non-negative.
+// Valid reports whether every extent is non-negative and the element
+// count fits in an int, so shapes read from untrusted input cannot wrap
+// Numel around to a small number.
 func (s Shape) Valid() bool {
-	for _, d := range s {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
+	_, ok := s.numel()
+	return ok
 }
 
 // Strides returns row-major strides for the shape.

@@ -25,6 +25,30 @@ func TestShapeNumel(t *testing.T) {
 	}
 }
 
+// TestShapeOverflow: a shape whose element count overflows int is invalid
+// and counts zero elements, instead of wrapping to a small product that an
+// empty or short data slice would match.
+func TestShapeOverflow(t *testing.T) {
+	for _, s := range []Shape{
+		{1 << 32, 1 << 32},
+		{math.MaxInt, 2},
+		{3, 1 << 62},
+		{1 << 31, 1 << 31, 1 << 31},
+	} {
+		if s.Valid() {
+			t.Errorf("Valid(%v) = true, want false (element count overflows)", s)
+		}
+		if n := s.Numel(); n != 0 {
+			t.Errorf("Numel(%v) = %d, want 0", s, n)
+		}
+	}
+	for _, s := range []Shape{{math.MaxInt}, {1 << 31, 1 << 31}, {0, 1 << 62}} {
+		if !s.Valid() {
+			t.Errorf("Valid(%v) = false, want true (element count fits)", s)
+		}
+	}
+}
+
 func TestShapeEqualClone(t *testing.T) {
 	s := NewShape(2, 3, 4)
 	c := s.Clone()
