@@ -112,9 +112,9 @@ func TestConcurrentArenaRunsShareProgram(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ar := ramiel.NewArena()
+			sess := prog.NewSession(ramiel.WithArena(ramiel.NewArena()))
 			for j := 0; j < iters; j++ {
-				got, err := prog.RunArena(feeds, ar)
+				got, err := sess.Run(context.Background(), feeds)
 				if err != nil {
 					t.Errorf("concurrent arena run: %v", err)
 					return
@@ -155,7 +155,7 @@ func TestMemoryPlanPublicAPI(t *testing.T) {
 	}
 	// The peak forecast from a reference-run size measurement must bracket
 	// sensibly: peak live <= slot arena <= unreused total, all positive.
-	sizes, err := exec.ValueSizes(prog.Graph, ramiel.RandomInputs(g, 1))
+	sizes, _, err := exec.ValueSizes(prog.Graph, ramiel.RandomInputs(g, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func BenchmarkFig14SwitchedHyper(b *testing.B)         { runTable(b, bench.Fig14
 func BenchmarkAblationMerge(b *testing.B)          { runTable(b, bench.AblationMerge) }
 func BenchmarkAblationEdgeCost(b *testing.B)       { runTable(b, bench.AblationEdgeCost) }
 func BenchmarkAblationCloneThreshold(b *testing.B) { runTable(b, bench.AblationCloneThreshold) }
-func BenchmarkAblationChanDepth(b *testing.B)      { runTable(b, bench.AblationChanDepth) }
 
 // Micro-benchmarks of the pipeline stages themselves (compile-time story:
 // LC must stay in the milliseconds while IOS explodes).
@@ -119,9 +118,10 @@ func BenchmarkRunParallelSqueezenet(b *testing.B) {
 		b.Fatal(err)
 	}
 	feeds := ramiel.RandomInputs(g, 1)
+	sess := prog.NewSession(ramiel.WithoutArena())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Run(feeds); err != nil {
+		if _, err := sess.Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func BenchmarkServeCompilePerRequest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := prog.Run(feeds); err != nil {
+		if _, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}

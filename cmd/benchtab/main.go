@@ -51,7 +51,6 @@ func main() {
 		{"ablation merge", bench.AblationMerge},
 		{"ablation edge cost", bench.AblationEdgeCost},
 		{"ablation clone threshold", bench.AblationCloneThreshold},
-		{"ablation chan depth", bench.AblationChanDepth},
 	}
 
 	var jobs []job

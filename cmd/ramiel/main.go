@@ -22,14 +22,18 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	ramiel "repro"
 	"repro/internal/exec"
-	"repro/internal/profile"
 )
+
+// speedupRuns is how many timed runs each side of the -run speedup takes;
+// the printed speedup is the ratio of their medians.
+const speedupRuns = 10
 
 func main() {
 	log.SetFlags(0)
@@ -48,11 +52,10 @@ func main() {
 	switched := flag.Bool("switched", false, "use switched hyperclustering")
 	intra := flag.Int("intra", 1, "intra-op threads for real execution")
 
-	run := flag.Bool("run", false, "execute parallel + sequential and verify")
+	run := flag.Bool("run", false, "time the parallel plan against a single-lane plan of the same program, and verify outputs")
 	arena := flag.Bool("arena", true, "use arena-backed tensor memory for -run")
 	report := flag.Bool("report", false, "print metrics, clusters and simulation")
 	timelineOut := flag.String("timeline", "", "with -run: write the timed run's execution timeline as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
-	profileOut := flag.String("profile-out", "", "with -run: write the timed run's lane trace (and per-op spans) as profile JSON")
 	calibrate := flag.Bool("calibrate", false, "run calibration reps and report measured op cost vs the static model")
 	calibrateReps := flag.Int("calibrate-reps", 5, "parallel executions to accumulate for -calibrate")
 	calibrateOut := flag.String("calibrate-out", "", "with -calibrate: write the full calibration report as JSON")
@@ -109,11 +112,11 @@ func main() {
 	}
 
 	ramiel.SetIntraOpThreads(*intra)
-	if (*timelineOut != "" || *profileOut != "") && !*run {
-		log.Fatal("-timeline and -profile-out need -run")
-	}
-	if *timelineOut != "" || *profileOut != "" {
-		// Sample every run so the timed run in runAndVerify is captured.
+	if *timelineOut != "" {
+		if !*run {
+			log.Fatal("-timeline needs -run")
+		}
+		// Sample every run so the last timed run in runAndVerify is captured.
 		prog.EnableTimeline(1, 4)
 	}
 	did := false
@@ -123,23 +126,13 @@ func main() {
 	}
 	if *run {
 		did = true
-		prof, err := runAndVerify(prog, *seed, *arena, *report)
-		if err != nil {
+		if err := runAndVerify(prog, *seed, *arena, *report); err != nil {
 			log.Fatal(err)
 		}
 		if *timelineOut != "" {
 			if err := exportTimeline(prog, g.Name, *timelineOut); err != nil {
 				log.Fatal(err)
 			}
-		}
-		if *profileOut != "" {
-			t := profile.FromProfile(g.Name, prof)
-			t.AttachTimeline(prog.LastTimeline())
-			if err := t.Save(*profileOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote lane profile (%d lanes, %d op spans) to %s\n",
-				len(t.Lanes), len(t.Ops), *profileOut)
 		}
 	}
 	if *calibrate {
@@ -259,44 +252,59 @@ func printReport(prog *ramiel.Program) {
 		res.TotalWork/1000, res.Makespan/1000, res.Speedup())
 }
 
-func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) (*exec.Profile, error) {
+// runAndVerify times the program's multi-lane session against
+// exec.SequentialPlan of the same compiled, prepacked graph with the same
+// arena setting — so the speedup isolates task parallelism — taking the
+// median of speedupRuns alternated runs each, and checks the outputs,
+// untimed, against the reference interpreter (Program.RunSequential).
+func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) error {
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(prog.Graph, seed)
-	// One reusable session carries the run configuration (arena, profiling)
-	// across the warm-up and the timed run.
-	sopts := []ramiel.SessionOption{ramiel.WithProfiling()}
-	if !useArena {
+	want, err := prog.RunSequential(feeds)
+	if err != nil {
+		return err
+	}
+	single, err := exec.SequentialPlan(prog.Graph)
+	if err != nil {
+		return err
+	}
+	var (
+		singleArena *ramiel.Arena
+		sopts       []ramiel.SessionOption
+	)
+	if useArena {
+		singleArena = ramiel.NewArena()
+	} else {
 		sopts = append(sopts, ramiel.WithoutArena())
 	}
 	sess := prog.NewSession(sopts...)
-	// Warm both paths untimed so the printed speedup compares steady
-	// states: sequential vs parallel, not cold-start vs warm-arena.
-	if _, err := prog.RunSequential(feeds); err != nil {
-		return nil, err
-	}
-	if _, err := sess.Run(ctx, feeds); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	want, err := prog.RunSequential(feeds)
-	if err != nil {
-		return nil, err
-	}
-	seq := time.Since(t0)
-	t0 = time.Now()
-	got, err := sess.Run(ctx, feeds)
-	if err != nil {
-		return nil, err
-	}
-	par := time.Since(t0)
-	prof := sess.Profile()
-	for k, w := range want {
-		if !got[k].AllClose(w, 1e-4, 1e-5) {
-			return nil, fmt.Errorf("output %q differs between parallel and sequential run", k)
+	// Run 0 of each side is an untimed warm-up (prepack tables, arena
+	// steady state); alternating the two spreads host noise over both.
+	var seq, par []time.Duration
+	var got ramiel.Env
+	for i := 0; i <= speedupRuns; i++ {
+		t0 := time.Now()
+		if _, _, err := single.Execute(ctx, feeds, singleArena); err != nil {
+			return err
+		}
+		t1 := time.Now()
+		if got, err = sess.Run(ctx, feeds); err != nil {
+			return err
+		}
+		if i > 0 {
+			seq = append(seq, t1.Sub(t0))
+			par = append(par, time.Since(t1))
 		}
 	}
-	fmt.Printf("  run: sequential %v, parallel %v (%.2fx on this host), outputs verified\n",
-		seq.Round(time.Microsecond), par.Round(time.Microsecond), float64(seq)/float64(par))
+	for k, w := range want {
+		if !got[k].AllClose(w, 1e-4, 1e-5) {
+			return fmt.Errorf("output %q differs between parallel and sequential run", k)
+		}
+	}
+	ms, mp := median(seq), median(par)
+	fmt.Printf("  run: single lane %v, %d lanes %v (medians of %d runs, same compiled program; %.2fx on this host), outputs verified\n",
+		ms.Round(time.Microsecond), prog.NumClusters(), mp.Round(time.Microsecond), speedupRuns, float64(ms)/float64(mp))
+	prof := sess.Profile()
 	fmt.Printf("  profile: total slack %v across %d lanes\n",
 		prof.TotalSlack().Round(time.Microsecond), len(prof.Lanes))
 	if ar := sess.Arena(); ar != nil {
@@ -311,7 +319,18 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) (*ex
 	if report {
 		printOpTable(prog, 8)
 	}
-	return prof, nil
+	return nil
+}
+
+// median returns the middle of ds (the mean of the two middle values for an
+// even count); ds is sorted in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	n := len(ds)
+	if n%2 == 1 {
+		return ds[n/2]
+	}
+	return (ds[n/2-1] + ds[n/2]) / 2
 }
 
 // printOpTable prints the top-n operator types of the program by measured

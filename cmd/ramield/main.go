@@ -52,8 +52,8 @@
 // the model's live p99 execution time (floored at -watchdog-floor), so a
 // pathological input degrades one request instead of wedging a worker.
 // Input hardening: request bodies are capped at -max-body (413 cause
-// "body_too_large") and feeds containing NaN/Inf are rejected
-// (-finite-check=false restores raw feeds).
+// "body_too_large") and feeds containing NaN/Inf are always rejected (400
+// cause "validation").
 //
 // Telemetry (stage-latency histograms, request tracing) is always on and
 // costs no allocations per request; -obs=false switches it off for A/B
@@ -168,7 +168,6 @@ func main() {
 	watchdogF := flag.Float64("watchdog", 0, "kill runs exceeding this multiple of the model's live p99 exec time (0 = 20; negative disables)")
 	watchdogFloor := flag.Duration("watchdog-floor", 0, "minimum run age before the watchdog may kill (0 = 2s)")
 	maxBody := flag.Int64("max-body", 0, "POST /v1/infer request-body cap in bytes (0 = 8 MiB; negative disables)")
-	finiteCheck := flag.Bool("finite-check", true, "reject feeds containing NaN or Inf values")
 	switched := flag.Bool("switched", false, "use switched hyperclustering for batch plans")
 	arena := flag.Bool("arena", true, "arena-backed execution: recycle intermediate tensors across requests")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
@@ -215,7 +214,6 @@ func main() {
 		WatchdogFactor: *watchdogF,
 		WatchdogFloor:  *watchdogFloor,
 		MaxBodyBytes:   *maxBody,
-		NoFiniteCheck:  !*finiteCheck,
 	}
 	if budget > 0 {
 		log.Printf("memory budget: %d MiB", budget>>20)

@@ -1,6 +1,7 @@
 package ramiel_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // TestProgramRunConcurrent proves the serving invariant on a real zoo
-// model: one compiled Program handles many simultaneous Run calls (run
-// with -race), each producing the sequential reference output.
+// model: one compiled Program handles many simultaneous heap-path sessions
+// (run with -race), each producing the sequential reference output.
 func TestProgramRunConcurrent(t *testing.T) {
 	g, err := ramiel.BuildModel("squeezenet", ramiel.ModelConfig{ImageSize: 16})
 	if err != nil {
@@ -25,6 +26,10 @@ func TestProgramRunConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// WithArena(nil) is the heap path, as a nil arena is for Plan.Execute.
+	if s := prog.NewSession(ramiel.WithArena(nil)); s.Arena() != nil {
+		t.Fatal("WithArena(nil) created an arena; want heap execution")
+	}
 	const goroutines, iters = 8, 3
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -32,7 +37,7 @@ func TestProgramRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, err := prog.Run(feeds)
+				out, err := prog.NewSession(ramiel.WithArena(nil)).Run(context.Background(), feeds)
 				if err != nil {
 					t.Error(err)
 					return
@@ -85,7 +90,7 @@ func TestHyperclusteredRunConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := prog.Run(batched)
+			out, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), batched)
 			if err != nil {
 				t.Error(err)
 				return

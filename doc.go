@@ -26,8 +26,8 @@
 //
 // A Session bundles the run configuration — by default it owns a tensor
 // arena that recycles intermediate tensors across its runs (steady-state
-// inference allocates nothing per run), and WithProfiling records each
-// run's per-lane busy/slack profile (Session.Profile). Session.Run
+// inference allocates nothing per run) — and keeps the last run's per-lane
+// busy/slack profile (Session.Profile). Session.Run
 // validates feeds up front (Program.ValidateFeeds; the serving layer runs
 // the same check in serve.Server.Infer, before admission and batching, so
 // HTTP handlers only decode) and honors its context:
@@ -36,9 +36,9 @@
 //
 // A Session serves one goroutine; the compiled Program underneath is safe
 // to share — any number of Sessions may run it concurrently (the serving
-// invariant; see the Plan concurrency contract in internal/exec). The old
-// run-method matrix (Program.Run, RunArena, RunProfiled, RunProfiledArena)
-// remains as deprecated one-shot-session wrappers.
+// invariant; see the Plan concurrency contract in internal/exec).
+// Session.Run is the one way to run a Program; Program.RunSequential is the
+// unoptimized reference its outputs are checked against.
 //
 // Execution is instrumented: every Plan run accumulates per-op-type
 // invocation counts and cumulative wall time (Program.OpTotals — where
@@ -70,9 +70,8 @@
 // stuck-run watchdog force-cancels runs exceeding a multiple of the
 // model's p99 (-watchdog, -watchdog-floor; cause "watchdog"), request
 // bodies are capped (-max-body, 413), and non-finite feeds (NaN/Inf) are
-// rejected at validation (ramiel.CheckFiniteFeeds; -finite-check=false
-// opts out). DESIGN.md's "Resource governance" section has the policy
-// details.
+// always rejected at validation (ramiel.CheckFiniteFeeds). DESIGN.md's
+// "Resource governance" section has the policy details.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the system inventory, serving-layer architecture,

@@ -47,7 +47,7 @@ func main() {
 
 			// Verify real parallel execution for the smallest batch.
 			if batch == 2 {
-				want, err := ramiel.RunSequentialGraph(hp.Graph, feeds)
+				want, err := hp.RunSequential(feeds)
 				if err != nil {
 					log.Fatal(err)
 				}

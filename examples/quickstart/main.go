@@ -37,7 +37,7 @@ func main() {
 	//    carry cross-cluster tensors; the session owns a tensor arena that
 	//    recycles intermediates across its runs and records a per-lane
 	//    profile. Verify against the sequential reference.
-	sess := prog.NewSession(ramiel.WithProfiling())
+	sess := prog.NewSession()
 	feeds := ramiel.RandomInputs(g, 42)
 	t0 := time.Now()
 	want, err := prog.RunSequential(feeds)

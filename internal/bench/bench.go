@@ -3,13 +3,14 @@
 // reproduction. Each regenerator prints the same rows/series the paper
 // reports, side by side with the published numbers.
 //
-// Measurement methodology (documented in EXPERIMENTS.md): the reproduction
+// Measurement methodology (DESIGN.md, "Experiment index"): the reproduction
 // host may have a single core, while the paper used a 12-core Xeon. Runtime
-// tables therefore use real measured per-node kernel durations replayed
-// through a deterministic discrete-event simulator of a 12-core machine
-// with paper-equivalent (Python-process-queue) message costs; wall-clock
-// parallel runs remain available through cmd/ramiel -run for hosts with
-// real cores.
+// tables therefore use real measured per-node kernel durations
+// (exec.MeasureCosts: the prepacked kernels a single-lane plan runs)
+// replayed through a deterministic discrete-event simulator of a 12-core
+// machine with paper-equivalent (Python-process-queue) message costs;
+// wall-clock parallel runs remain available through cmd/ramiel -run for
+// hosts with real cores.
 package bench
 
 import (

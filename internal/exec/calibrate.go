@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cost"
-	"repro/internal/obs"
 )
 
 // OpCalibration is one operator type's row of a calibration report: how the
@@ -81,30 +80,24 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		m = cost.DefaultModel()
 	}
 	topo := p.topology()
+	measured := p.measured(0)
 	type nodeMeas struct {
 		meanUs float64
 		wt     float64
 	}
 	var (
-		nodes  []nodeMeas
-		byName = make(map[string]float64)
-		perOp  = make(map[string]*OpCalibration)
-		sumUs  float64
-		sumWt  float64
+		nodes []nodeMeas
+		perOp = make(map[string]*OpCalibration)
+		sumUs float64
+		sumWt float64
 	)
 	for i, n := range topo.opNodes {
-		c := p.opCount[i].Load()
-		if c == 0 {
+		meanUs, ok := measured.ByName[n.Name]
+		if !ok {
 			continue
-		}
-		ns := p.opNs[i].Load()
-		meanUs := float64(ns) / float64(c) / 1e3
-		if meanUs < 0.05 {
-			meanUs = 0.05 // same floor as MeasureCosts: dispatch is never free
 		}
 		wt := m.NodeCost(n)
 		nodes = append(nodes, nodeMeas{meanUs, wt})
-		byName[n.Name] = meanUs
 		sumUs += meanUs
 		sumWt += wt
 		oc := perOp[n.OpType]
@@ -113,8 +106,8 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 			perOp[n.OpType] = oc
 		}
 		oc.Nodes++
-		oc.Count += c
-		oc.TotalNs += ns
+		oc.Count += p.opCount[i].Load()
+		oc.TotalNs += p.opNs[i].Load()
 		oc.MeanUs += meanUs // per-node mean sum, replaced by the true mean below
 		oc.StaticWt += wt   // per-node weight sum, likewise
 	}
@@ -162,11 +155,7 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		worst = worst[:5]
 	}
 	cal.Worst = worst
-	cal.Measured = &MeasuredModel{
-		ByName:  byName,
-		Edge:    3, // the MeasureCosts default channel-handoff estimate
-		Default: sumUs / float64(len(nodes)),
-	}
+	cal.Measured = measured
 	return cal
 }
 
@@ -220,37 +209,4 @@ func ranks(v []float64) []float64 {
 		i = j + 1
 	}
 	return r
-}
-
-// TimelineOpTotals aggregates one sampled run's op spans by operator type —
-// the single-run analogue of the plan's lifetime OpTotals, for reports that
-// want "this run" rather than "since compile".
-func TimelineOpTotals(r *obs.RunTimeline, opOf func(node string) string) []obs.OpTotal {
-	if r == nil {
-		return nil
-	}
-	agg := map[string]obs.OpTotal{}
-	for _, s := range r.Spans {
-		if s.Kind != obs.SpanOp {
-			continue
-		}
-		op := s.Op
-		if op == "" && opOf != nil {
-			op = opOf(s.Name)
-		}
-		t := agg[op]
-		t.Op = op
-		t.Count++
-		t.TotalNs += s.DurNs
-		agg[op] = t
-	}
-	if len(agg) == 0 {
-		return nil
-	}
-	out := make([]obs.OpTotal, 0, len(agg))
-	for _, t := range agg {
-		out = append(out, t)
-	}
-	obs.SortOpTotals(out)
-	return out
 }

@@ -3,11 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -32,12 +30,10 @@ type MeasuredModel struct {
 	// makes Squeezenet's big cross-cluster maps a net loss (Table IV row 1)
 	// while BERT's small ones stay cheap.
 	BytesPerMicro float64
-	// OutBytes maps node names to the byte size of their first output,
-	// recorded during measurement.
+	// OutBytes maps node names to the byte size of their first output.
 	OutBytes map[string]float64
-	// ValueNumel maps every produced value name to its element count,
-	// recorded during measurement — the sizes input the memory planner's
-	// Estimate wants, at no extra execution.
+	// ValueNumel maps every produced value name to its element count (from
+	// ValueSizes) — the sizes input the memory planner's Estimate wants.
 	ValueNumel map[string]int
 	// ScratchNumel maps node names to the transient kernel scratch (im2col
 	// patch matrices, call-time GEMM packing) the node draws from the
@@ -83,78 +79,62 @@ func (m *MeasuredModel) TotalMicros() float64 {
 	return t
 }
 
-// MeasureCosts executes the graph sequentially `reps` times with the given
-// feeds, timing every node, and returns the per-node median-of-means model.
-// edgeMicros sets the modelled message overhead; pass <= 0 for the default
-// 3µs (measured Go channel handoff incl. scheduler wake is ~1µs; the
-// paper's Python process queues cost far more, so 3µs is conservative in
-// Ramiel's favor being the faster runtime).
+// MeasureCosts times the kernels a compiled program runs: it executes
+// SequentialPlan(g) — prepacked weights, arena memory, in-place kernels —
+// through Plan.Execute `reps` times and reads the plan's per-node counters
+// (see Plan.measured). Sizes (ValueNumel, ScratchNumel, OutBytes) come from
+// one ValueSizes run. edgeMicros sets the modelled message overhead; pass
+// <= 0 for the default 3µs (measured Go channel handoff incl. scheduler
+// wake is ~1µs; the paper's Python process queues cost far more, so 3µs is
+// conservative in Ramiel's favor being the faster runtime).
 func MeasureCosts(g *graph.Graph, feeds Env, reps int, edgeMicros float64) (*MeasuredModel, error) {
-	return MeasureCostsCtx(context.Background(), g, feeds, reps, edgeMicros)
-}
-
-// MeasureCostsCtx is MeasureCosts under a context: a measurement sweep over
-// a large model is many full sequential executions, so interactive callers
-// (or a serving daemon profiling in the background) can abort it between
-// kernels. Cancellation surfaces as the bare ctx error.
-func MeasureCostsCtx(ctx context.Context, g *graph.Graph, feeds Env, reps int, edgeMicros float64) (*MeasuredModel, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	order, err := g.TopoSort()
+	numel, scratch, err := ValueSizes(g, feeds)
 	if err != nil {
 		return nil, err
 	}
-	acc := make(map[string]float64, len(order))
-	numel := make(map[string]int, len(order))
-	scratch := make(map[string]int)
-	for r := 0; r < reps; r++ {
-		env, err := seedEnv(g, feeds)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range order {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if r == 0 {
-				if s := nodeScratch(n, env); s > 0 {
-					scratch[n.Name] = s
-				}
-			}
-			t0 := time.Now()
-			if err := evalNode(g, n, env, nil, nil, false); err != nil {
-				return nil, fmt.Errorf("exec: measuring %s: %w", n.Name, err)
-			}
-			acc[n.Name] += float64(time.Since(t0)) / float64(time.Microsecond)
-			if r == 0 {
-				for _, out := range n.Outputs {
-					if t := env[out]; t != nil {
-						numel[out] = t.Numel()
-					}
-				}
-			}
+	p, err := SequentialPlan(g)
+	if err != nil {
+		return nil, err
+	}
+	ar := tensor.NewArena()
+	for r := 0; r < max(reps, 1); r++ {
+		if _, _, err := p.Execute(context.Background(), feeds, ar); err != nil {
+			return nil, fmt.Errorf("exec: measuring: %w", err)
 		}
 	}
-	// OutBytes is a per-node view of the same measurements: the first
-	// output's size, derived from numel so the two maps cannot diverge.
-	outBytes := make(map[string]float64, len(order))
-	for _, n := range order {
+	mm := p.measured(edgeMicros)
+	mm.ValueNumel, mm.ScratchNumel = numel, scratch
+	// OutBytes is a per-node view of the same sizes: the first output's
+	// size, derived from numel so the two maps cannot diverge.
+	mm.OutBytes = make(map[string]float64, len(g.Nodes))
+	for _, n := range g.Nodes {
 		if len(n.Outputs) > 0 {
 			if e, ok := numel[n.Outputs[0]]; ok {
-				outBytes[n.Name] = float64(4 * e)
+				mm.OutBytes[n.Name] = float64(4 * e)
 			}
 		}
 	}
-	byName := make(map[string]float64, len(acc))
+	return mm, nil
+}
+
+// measured converts the plan's per-node execution counters into a
+// MeasuredModel: ByName holds each executed node's mean kernel time in µs
+// (floored at 0.05 — even a no-op dispatch costs something), Default their
+// mean, and Edge edgeMicros (<= 0 selects the 3µs default). Nodes that never
+// ran are absent. It is the one place counters become per-node costs, for
+// both MeasureCosts and Calibrate.
+func (p *Plan) measured(edgeMicros float64) *MeasuredModel {
+	topo := p.topology()
+	byName := make(map[string]float64, len(topo.opNodes))
 	var sum float64
-	for name, total := range acc {
-		d := total / float64(reps)
-		if d < 0.05 {
-			d = 0.05 // floor: even a no-op dispatch costs something
+	for i, n := range topo.opNodes {
+		c := p.opCount[i].Load()
+		if c == 0 {
+			continue
 		}
-		byName[name] = d
-		sum += d
+		us := max(float64(p.opNs[i].Load())/float64(c)/1e3, 0.05)
+		byName[n.Name] = us
+		sum += us
 	}
 	if edgeMicros <= 0 {
 		edgeMicros = 3
@@ -163,21 +143,7 @@ func MeasureCostsCtx(ctx context.Context, g *graph.Graph, feeds Env, reps int, e
 	if len(byName) > 0 {
 		def = sum / float64(len(byName))
 	}
-	return &MeasuredModel{ByName: byName, Edge: edgeMicros, OutBytes: outBytes,
-		ValueNumel: numel, ScratchNumel: scratch, Default: def}, nil
-}
-
-// nodeScratch sizes one node's kernel scratch from its bound inputs.
-func nodeScratch(n *graph.Node, env Env) int {
-	in := make([]*tensor.Tensor, len(n.Inputs))
-	for i, name := range n.Inputs {
-		t, ok := env[name]
-		if !ok {
-			return 0
-		}
-		in[i] = t
-	}
-	return ops.ScratchElems(n.OpType, n.Attrs, in)
+	return &MeasuredModel{ByName: byName, Edge: edgeMicros, Default: def}
 }
 
 // PaperEquivalentQueues configures m to model the paper's Python

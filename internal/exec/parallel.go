@@ -21,22 +21,17 @@ import (
 // order. It is produced from a core.Clustering but typed on plain node
 // slices so this package stays independent of the clustering package.
 //
-// Concurrency contract: once built, a Plan is immutable and Execute (and
-// its Run/RunProfiled wrappers) may be called from any number of goroutines
-// simultaneously on the same Plan — the serving invariant (compile once,
-// serve many). All routing
-// state shared between runs (lane membership, channel keys, per-node
+// Concurrency contract: once built, a Plan is immutable and Execute may be
+// called from any number of goroutines simultaneously on the same Plan —
+// the serving invariant (compile once, serve many). All routing state
+// shared between runs (lane membership, channel keys, per-node
 // send/receive schedules) is computed once and only read afterwards; each
-// run allocates its own channels and value environments. Mutating Graph,
-// Lanes or ChanDepth after the first Run is not supported.
+// run allocates its own channels and value environments. Mutating Graph or
+// Lanes after the first Execute is not supported.
 type Plan struct {
 	Graph *graph.Graph
 	// Lanes lists each cluster's nodes in execution order.
 	Lanes [][]*graph.Node
-	// ChanDepth is the buffer depth of cross-lane channels (default 1;
-	// each channel carries exactly one tensor per run, so 1 suffices to
-	// make sends non-blocking).
-	ChanDepth int
 
 	// topo is the per-plan routing structure shared by all runs. It is
 	// built once on first use; building it is also what keeps concurrent
@@ -57,9 +52,9 @@ type Plan struct {
 
 	// opCount/opNs are the plan's per-node execution counters: kernel
 	// invocations and cumulative kernel nanoseconds, accumulated across
-	// every run of the plan for the lifetime of the plan. They are the
-	// always-on serving analogue of the offline MeasureCosts pass — live
-	// measured per-op costs for /v1/stats and profile-guided
+	// every run of the plan for the lifetime of the plan. They are the one
+	// source of measured op cost: OpTotals, Calibrate and MeasureCosts all
+	// read them (see measured), for /v1/stats, reports and profile-guided
 	// recompilation. Allocated once with the topology (dense node index,
 	// see planTopo.opIdx); the record path is two atomic adds per node on
 	// top of the per-node timing the profile already takes.
@@ -127,11 +122,10 @@ type outputDst struct {
 	graphOutput bool
 }
 
-// planTopo is the run-invariant routing structure of a Plan: everything
-// RunProfiled used to recompute per call that depends only on the plan
-// itself. Hoisting it makes Plan.Run cheap to call per request and safe to
-// call concurrently (the graph's lazy indexes are only touched here, under
-// the plan's once guard).
+// planTopo is the run-invariant routing structure of a Plan: everything a
+// run needs that depends only on the plan itself. Hoisting it makes Execute
+// cheap to call per request and safe to call concurrently (the graph's lazy
+// indexes are only touched here, under the plan's once guard).
 type planTopo struct {
 	laneOf map[*graph.Node]int
 	// keys lists every cross-lane channel a run must allocate.
@@ -473,7 +467,7 @@ func NewPlan(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	if total != len(g.Nodes) {
 		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
 	}
-	return &Plan{Graph: g, Lanes: sorted, ChanDepth: 1}, nil
+	return &Plan{Graph: g, Lanes: sorted}, nil
 }
 
 // NewPlanOrdered builds a Plan that preserves the given lane orders exactly
@@ -495,7 +489,7 @@ func NewPlanOrdered(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	if total != len(g.Nodes) {
 		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
 	}
-	p := &Plan{Graph: g, Lanes: lanes, ChanDepth: 1}
+	p := &Plan{Graph: g, Lanes: lanes}
 	if err := p.checkFeasible(); err != nil {
 		return nil, err
 	}
@@ -558,49 +552,19 @@ func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
 	}
 }
 
-// Run executes the plan: one goroutine per lane, channels per cross-lane
-// (value, consumer-lane) pair, mirroring the paper's Algorithm 4 runtime of
-// queue.put/queue.get message passing between Python processes. Returns
-// the graph outputs.
+// Execute runs the plan once under ctx: one goroutine per lane, one channel
+// per cross-lane (value, consumer-lane) pair, mirroring the paper's
+// Algorithm 4 runtime of queue.put/queue.get message passing between Python
+// processes. It returns the graph outputs and the per-lane busy/slack
+// profile.
 //
-// Run is safe for concurrent use: many goroutines may Run the same Plan at
-// once, each call with its own channels and environments (see the Plan
-// concurrency contract). Cancellation-aware callers should use Execute.
-func (p *Plan) Run(feeds Env) (Env, error) {
-	out, _, err := p.Execute(context.Background(), feeds, nil)
-	return out, err
-}
-
-// RunArena is Run with arena-backed tensor memory: every kernel output is
-// allocated from ar, and each intermediate's storage is returned to ar the
-// moment its statically-known last consumer finishes (the reuse plan of
-// internal/memplan). Graph outputs are never recycled — they escape to the
-// caller as ordinary heap-owned tensors.
-//
-// The arena must not be shared between concurrent runs: the serving
-// invariant extends to "each run owns its arena" — many goroutines may
-// RunArena the same Plan at once as long as every call passes a different
-// (or pooled, currently-idle) arena. Keeping one arena alive across
-// sequential runs is exactly what makes steady-state inference allocation-
-// free for intermediates.
-func (p *Plan) RunArena(feeds Env, ar *tensor.Arena) (Env, error) {
-	out, _, err := p.Execute(context.Background(), feeds, ar)
-	return out, err
-}
-
-// RunProfiled is Run plus the per-lane busy/slack profile.
-func (p *Plan) RunProfiled(feeds Env) (Env, *Profile, error) {
-	return p.Execute(context.Background(), feeds, nil)
-}
-
-// RunProfiledArena is RunArena plus the per-lane busy/slack profile.
-func (p *Plan) RunProfiledArena(feeds Env, ar *tensor.Arena) (Env, *Profile, error) {
-	return p.Execute(context.Background(), feeds, ar)
-}
-
-// Execute is the plan's core entry point: one parallel run under ctx, with
-// optional arena-backed tensor memory (nil ar = heap) and the per-lane
-// busy/slack profile. All other run methods are thin wrappers over it.
+// With a non-nil arena every kernel output is allocated from ar, and each
+// intermediate's storage is returned to ar the moment its statically-known
+// last consumer finishes (the reuse plan of internal/memplan); graph outputs
+// escape to the caller and are never recycled. nil ar runs on the heap. An
+// arena must not be shared between concurrent runs, but keeping one alive
+// across sequential runs is what makes steady-state inference
+// allocation-free for intermediates.
 //
 // Cancellation is cooperative: lanes observe ctx between operator kernels
 // and while blocked on cross-lane receives, so a cancelled or deadline-
@@ -627,10 +591,6 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	}
 	topo := p.topology()
 	pack := p.prepacked()
-	depth := p.ChanDepth
-	if depth < 1 {
-		depth = 1
-	}
 	// Timeline sampling decision for this run: cap stays nil on the default
 	// path (no recorder, or an unsampled run), and every record site below
 	// is a nil-safe no-op then — the hot loop's zero-allocation contract.
@@ -655,10 +615,12 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	// One channel per (produced value, consuming lane) pair, freshly
 	// allocated per run so concurrent runs never share messages. The
 	// producer sends once; the consumer receives once and caches it in its
-	// local environment, so multiple local consumers are satisfied.
+	// local environment, so multiple local consumers are satisfied. One
+	// message per channel per run makes a buffer of 1 enough for every send
+	// to be non-blocking.
 	chans := make(map[chanKey]chan message, len(topo.keys))
 	for _, key := range topo.keys {
-		chans[key] = make(chan message, depth)
+		chans[key] = make(chan message, 1)
 	}
 
 	profile := &Profile{Lanes: make([]laneStats, len(p.Lanes))}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // TestPlanRunConcurrent exercises the serving invariant: one compiled Plan
-// must serve many simultaneous Run calls (run with -race). Every call gets
+// must serve many simultaneous Execute calls (run with -race). Every call gets
 // its own channels and environments; only the read-only topology is shared.
 func TestPlanRunConcurrent(t *testing.T) {
 	g, feeds := smallGraph()
@@ -39,7 +40,7 @@ func TestPlanRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, err := plan.Run(feeds)
+				out, _, err := plan.Execute(context.Background(), feeds, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -58,8 +59,9 @@ func TestPlanRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanRunProfiledConcurrent does the same through the profiled path,
-// which additionally shares the per-plan topology with plain Run.
+// TestPlanRunProfiledConcurrent does the same on a single-lane plan (the
+// shape MeasureCosts times), checking that every concurrent run returns its
+// own one-lane profile.
 func TestPlanRunProfiledConcurrent(t *testing.T) {
 	g, feeds := smallGraph()
 	plan, err := NewPlan(g, [][]*graph.Node{g.Nodes})
@@ -72,8 +74,13 @@ func TestPlanRunProfiledConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, _, err := plan.RunProfiled(feeds); err != nil {
+				_, prof, err := plan.Execute(context.Background(), feeds, nil)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if len(prof.Lanes) != 1 || prof.Lanes[0].Busy <= 0 {
+					t.Errorf("profile = %+v, want one busy lane", prof)
 					return
 				}
 			}

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"context"
+	"maps"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/models"
 	"repro/internal/tensor"
 )
 
@@ -44,7 +47,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	}
 	// Arena runs share the same packed table.
 	ar := tensor.NewArena()
-	got2, err := plan.RunArena(feeds, ar)
+	got2, _, err := plan.Execute(context.Background(), feeds, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestPrepackSkipsFeedableInitializers(t *testing.T) {
 	// And the override actually takes effect.
 	wOverride := r.RandTensor(4, 6)
 	feeds := Env{"x": r.RandTensor(2, 4), "W": wOverride}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +145,28 @@ func TestMeasureCostsRecordsScratch(t *testing.T) {
 	}
 	if mm.ScratchNumel["r"] != 0 {
 		t.Errorf("Relu recorded scratch %d", mm.ScratchNumel["r"])
+	}
+
+	// On a zoo graph the sizes MeasureCosts reports are exactly one
+	// ValueSizes run's.
+	sq, err := models.Build("squeezenet", models.Config{ImageSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqFeeds := models.RandomInputs(sq, 1)
+	numel, scratch, err := ValueSizes(sq, sqFeeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqm, err := MeasureCosts(sq, sqFeeds, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(numel, sqm.ValueNumel) || !maps.Equal(scratch, sqm.ScratchNumel) {
+		t.Errorf("MeasureCosts sizes differ from ValueSizes: numel %d vs %d values, scratch %v vs %v",
+			len(sqm.ValueNumel), len(numel), sqm.ScratchNumel, scratch)
+	}
+	if len(scratch) == 0 || len(sqm.ByName) != len(sq.Nodes) {
+		t.Errorf("squeezenet: %d scratch nodes, %d of %d nodes timed", len(scratch), len(sqm.ByName), len(sq.Nodes))
 	}
 }

@@ -60,23 +60,36 @@ func runAllSequential(ctx context.Context, g *graph.Graph, feeds Env) (Env, erro
 }
 
 // ValueSizes executes g sequentially with feeds and records the element
-// count of every node-produced value. Shapes are not statically inferable
-// in this IR, so one reference execution is how the memory planner's peak
-// estimates (memplan.Plan.Estimate) get their sizes.
-func ValueSizes(g *graph.Graph, feeds Env) (map[string]int, error) {
+// count of every node-produced value (numel) and, per node, the transient
+// kernel scratch it draws from the run's allocator (scratch, in elements;
+// nodes without scratch are absent). Shapes are not statically inferable in
+// this IR, so one reference execution is how the memory planner's estimates
+// (memplan.Plan.EstimateWithScratch) get their sizes.
+func ValueSizes(g *graph.Graph, feeds Env) (numel, scratch map[string]int, err error) {
 	env, err := runAllSequential(context.Background(), g, feeds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sizes := make(map[string]int)
+	numel = make(map[string]int)
+	scratch = make(map[string]int)
+	var in []*tensor.Tensor
 	for _, n := range g.Nodes {
 		for _, out := range n.Outputs {
 			if t, ok := env[out]; ok {
-				sizes[out] = t.Numel()
+				numel[out] = t.Numel()
 			}
 		}
+		// The environment keeps every value, so each node's inputs are
+		// still bound after the run.
+		in = in[:0]
+		for _, name := range n.Inputs {
+			in = append(in, env[name])
+		}
+		if s := ops.ScratchElems(n.OpType, n.Attrs, in); s > 0 {
+			scratch[n.Name] = s
+		}
 	}
-	return sizes, nil
+	return numel, scratch, nil
 }
 
 // seedEnv builds the initial value environment from initializers + feeds.

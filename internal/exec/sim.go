@@ -105,5 +105,5 @@ func SequentialPlan(g *graph.Graph) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Graph: g, Lanes: [][]*graph.Node{order}, ChanDepth: 1}, nil
+	return &Plan{Graph: g, Lanes: [][]*graph.Node{order}}, nil
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	ramiel "repro"
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/serve"
 )
 
@@ -63,7 +63,7 @@ func TestChaosSoak(t *testing.T) {
 
 	want := make([][]float32, 8)
 	for b := range want {
-		outs, err := ramiel.RunSequentialGraph(tinyModel(), tinyFeeds(float32(b)))
+		outs, err := exec.RunSequential(tinyModel(), tinyFeeds(float32(b)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 
 	ramiel "repro"
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -388,7 +389,7 @@ func TestRemoteReplicaRoundTrip(t *testing.T) {
 
 	front := New(Config{}, rem)
 	feeds := tinyFeeds(-1)
-	want, err := ramiel.RunSequentialGraph(tinyModel(), feeds)
+	want, err := exec.RunSequential(tinyModel(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ func TestFleetSoak(t *testing.T) {
 	// Precompute expected outputs for the 8 distinct feed bases.
 	want := make([][]float32, 8)
 	for b := range want {
-		outs, err := ramiel.RunSequentialGraph(tinyModel(), tinyFeeds(float32(b)))
+		outs, err := exec.RunSequential(tinyModel(), tinyFeeds(float32(b)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"testing"
 
-	ramiel "repro"
+	"repro/internal/exec"
 )
 
 var errMismatch = errors.New("served output differs from reference")
@@ -22,7 +22,7 @@ func TestArenaServingMatchesSequential(t *testing.T) {
 	s.RegisterGraph("tiny", g)
 
 	feeds := tinyFeeds(-1)
-	want, err := ramiel.RunSequentialGraph(g, feeds)
+	want, err := exec.RunSequential(g, feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestArenaBatchedServing(t *testing.T) {
 	g := tinyModel()
 	s.RegisterGraph("tiny", g)
 	feeds := tinyFeeds(-1)
-	want, err := ramiel.RunSequentialGraph(g, feeds)
+	want, err := exec.RunSequential(g, feeds)
 	if err != nil {
 		t.Fatal(err)
 	}

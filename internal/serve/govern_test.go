@@ -326,8 +326,7 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestNonFiniteFeedsRejected: NaN/Inf feeds fail as validation errors by
-// default; NoFiniteCheck restores raw feeds.
+// TestNonFiniteFeedsRejected: NaN/Inf feeds fail as validation errors.
 func TestNonFiniteFeedsRejected(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 1})
 	defer s.Close(context.Background())
@@ -350,15 +349,6 @@ func TestNonFiniteFeedsRejected(t *testing.T) {
 		if got := StatusFor(err); got != http.StatusBadRequest {
 			t.Errorf("%s feed: status = %d, want 400", name, got)
 		}
-	}
-
-	raw := New(Config{Workers: 1, MaxBatch: 1, NoFiniteCheck: true})
-	defer raw.Close(context.Background())
-	raw.RegisterGraph("tiny", tinyModel())
-	raw.MarkReady()
-	feeds := ramiel.Env{"x": ramiel.NewTensor(ramiel.NewShape(4), []float32{1, float32(math.NaN()), 3, 4})}
-	if _, _, err := raw.Infer(context.Background(), "tiny", feeds, false); err != nil {
-		t.Fatalf("NoFiniteCheck server rejected NaN feed: %v", err)
 	}
 }
 

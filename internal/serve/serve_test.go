@@ -13,6 +13,7 @@ import (
 	"time"
 
 	ramiel "repro"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -111,7 +112,7 @@ func TestServerInferMatchesSequential(t *testing.T) {
 	s.RegisterGraph("tiny", g)
 
 	feeds := tinyFeeds(-1)
-	want, err := ramiel.RunSequentialGraph(g, feeds)
+	want, err := exec.RunSequential(g, feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestMicroBatchCoalescesThroughHypercluster(t *testing.T) {
 		if metas[i].BatchSize != batch {
 			t.Errorf("request %d served at batch %d, want %d", i, metas[i].BatchSize, batch)
 		}
-		want, err := ramiel.RunSequentialGraph(g, tinyFeeds(float32(i)))
+		want, err := exec.RunSequential(g, tinyFeeds(float32(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,12 +219,12 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 	s.RegisterGraph("tiny", g)
 
 	const goroutines, iters = 8, 10
-	// Sequential references computed up front: RunSequentialGraph on a
+	// Sequential references computed up front: exec.RunSequential on a
 	// shared *Graph is not safe to call concurrently (lazy index build);
 	// the concurrent-serving contract covers compiled Plans only.
 	want := make([]ramiel.Env, goroutines*iters)
 	for k := range want {
-		ref, err := ramiel.RunSequentialGraph(g, tinyFeeds(float32(k)))
+		ref, err := exec.RunSequential(g, tinyFeeds(float32(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +442,7 @@ func TestHTTPInferExplicitInputs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	want, err := ramiel.RunSequentialGraph(g, tinyFeeds(-1))
+	want, err := exec.RunSequential(g, tinyFeeds(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

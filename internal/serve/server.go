@@ -98,10 +98,6 @@ type Config struct {
 	// MaxBodyBytes caps HTTP /v1/infer request bodies (413 past it).
 	// 0 picks the default (8 MiB); negative disables the cap.
 	MaxBodyBytes int64
-	// NoFiniteCheck skips the NaN/±Inf feed scan (on by default: poisoned
-	// inputs fail as validation errors instead of propagating through the
-	// fused kernels).
-	NoFiniteCheck bool
 	// Compile sets the Ramiel pipeline options used for every model.
 	Compile ramiel.Options
 }
@@ -447,7 +443,7 @@ func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 	if err == nil {
 		err = prog.ValidateFeeds(feeds)
 	}
-	if err == nil && !s.cfg.NoFiniteCheck {
+	if err == nil {
 		err = ramiel.CheckFiniteFeeds(feeds)
 	}
 	if err == nil {

@@ -3,7 +3,6 @@ package ramiel
 import (
 	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/models"
 	"repro/internal/onnx"
 )
@@ -129,10 +128,4 @@ func buildEnv(g *Graph) Env {
 		env[name] = t
 	}
 	return env
-}
-
-// RunSequentialGraph executes a graph directly without compiling a plan;
-// convenience for tools and tests.
-func RunSequentialGraph(g *Graph, feeds Env) (Env, error) {
-	return exec.RunSequential(g, feeds)
 }

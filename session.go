@@ -24,9 +24,8 @@ var ErrInvalidFeeds = errors.New("invalid feeds")
 
 // sessionConfig is the resolved NewSession configuration.
 type sessionConfig struct {
-	arena     *Arena
-	noArena   bool
-	profiling bool
+	arena   *Arena
+	noArena bool
 }
 
 // SessionOption configures NewSession.
@@ -36,7 +35,7 @@ type SessionOption func(*sessionConfig)
 // instead of creating its own. The session takes exclusive use of it while
 // running; sharing one arena between concurrently-running sessions is a
 // contract violation (see the Arena docs). WithArena(nil) is equivalent to
-// WithoutArena — matching the old RunArena(feeds, nil) heap-path contract.
+// WithoutArena, as a nil arena is for Plan.Execute.
 func WithArena(a *Arena) SessionOption {
 	return func(c *sessionConfig) {
 		if a == nil {
@@ -56,16 +55,10 @@ func WithoutArena() SessionOption {
 	return func(c *sessionConfig) { c.noArena = true; c.arena = nil }
 }
 
-// WithProfiling records each run's per-lane busy/slack profile, retrievable
-// via Session.Profile after the run.
-func WithProfiling() SessionOption {
-	return func(c *sessionConfig) { c.profiling = true }
-}
-
 // Session is a reusable execution handle over a compiled Program: it
 // bundles the run configuration — an arena for tensor recycling (on by
-// default) and the profiling toggle — so the execution API is one method,
-// Session.Run, instead of a matrix of Run variants.
+// default) — and keeps the last run's profile, so the execution API is one
+// method, Session.Run.
 //
 // A Session is a single-goroutine handle: its state (arena free lists, last
 // profile) carries across sequential runs, which is exactly what makes
@@ -74,9 +67,8 @@ func WithProfiling() SessionOption {
 // The Program underneath stays shareable: any number of Sessions may run
 // the same Program concurrently (the serving invariant).
 type Session struct {
-	prog      *Program
-	arena     *Arena
-	profiling bool
+	prog  *Program
+	arena *Arena
 	// running detects concurrent misuse of the single-goroutine handle.
 	running atomic.Bool
 	// lastProfile is only written between running transitions, so plain
@@ -86,13 +78,13 @@ type Session struct {
 
 // NewSession creates an execution handle for the program. By default the
 // session owns a fresh arena, so intermediate tensors are recycled across
-// its runs; see WithArena, WithoutArena and WithProfiling.
+// its runs; see WithArena and WithoutArena.
 func (p *Program) NewSession(opts ...SessionOption) *Session {
 	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{prog: p, profiling: cfg.profiling}
+	s := &Session{prog: p}
 	switch {
 	case cfg.noArena:
 	case cfg.arena != nil:
@@ -128,14 +120,12 @@ func (s *Session) Run(ctx context.Context, feeds Env) (Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.profiling {
-		s.lastProfile = prof
-	}
+	s.lastProfile = prof
 	return out, nil
 }
 
-// Profile returns the most recent run's per-lane busy/slack profile, or nil
-// when the session was created without WithProfiling or has not run yet.
+// Profile returns the most recent successful run's per-lane busy/slack
+// profile, or nil before the first one.
 func (s *Session) Profile() *Profile { return s.lastProfile }
 
 // Arena returns the session's arena, or nil when created WithoutArena.
@@ -197,8 +187,8 @@ func (p *Program) ValidateFeeds(feeds Env) error {
 
 // CheckFiniteFeeds rejects feeds carrying NaN or ±Inf values. Non-finite
 // inputs propagate silently through the fused kernels and poison every
-// downstream activation, so serving layers scan feeds up front (opt-out via
-// their config) and fail them as validation errors. The scan is branch-only
+// downstream activation, so serving layers scan every request's feeds up
+// front and fail them as validation errors. The scan is branch-only
 // over the feed data — no allocation on the accept path. The error wraps
 // ErrInvalidFeeds for cause classification.
 func CheckFiniteFeeds(feeds Env) error {

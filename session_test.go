@@ -27,88 +27,19 @@ func compiledSqueezenet(t testing.TB, img int) (*ramiel.Program, ramiel.Env) {
 	return prog, ramiel.RandomInputs(g, 42)
 }
 
-// TestDeprecatedRunWrappersMatchSession asserts output-equivalence of the
-// old 2×2 run-method matrix against Session.Run — the deprecation contract:
-// the wrappers are thin session shims, not a parallel implementation.
-func TestDeprecatedRunWrappersMatchSession(t *testing.T) {
-	prog, feeds := compiledSqueezenet(t, 16)
-	ctx := context.Background()
-
-	want, err := prog.NewSession().Run(ctx, feeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, got ramiel.Env, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s returned %d outputs, session returned %d", name, len(got), len(want))
-		}
-		for k, w := range want {
-			if got[k] == nil || !got[k].Equal(w) {
-				t.Errorf("%s: output %q differs from Session.Run", name, k)
-			}
-		}
-	}
-
-	got, err := prog.Run(feeds)
-	check("Run", got, err)
-
-	ar := ramiel.NewArena()
-	got, err = prog.RunArena(feeds, ar)
-	check("RunArena", got, err)
-
-	got, prof, err := prog.RunProfiled(feeds)
-	check("RunProfiled", got, err)
-	if prof == nil || len(prof.Lanes) != prog.NumClusters() {
-		t.Errorf("RunProfiled profile = %+v, want %d lanes", prof, prog.NumClusters())
-	}
-
-	got, prof, err = prog.RunProfiledArena(feeds, ar)
-	check("RunProfiledArena", got, err)
-	if prof == nil || len(prof.Lanes) != prog.NumClusters() {
-		t.Errorf("RunProfiledArena profile = %+v, want %d lanes", prof, prog.NumClusters())
-	}
-
-	// Sessions default to owning an arena; the arena-less session matches
-	// too (same function, different allocator).
-	got, err = prog.NewSession(ramiel.WithoutArena()).Run(ctx, feeds)
-	check("Session(WithoutArena)", got, err)
-
-	// The old Plan.RunArena contract accepted a nil arena as "heap run";
-	// the wrapper (and WithArena(nil)) must preserve that, not silently
-	// fabricate a throwaway arena per call.
-	got, err = prog.RunArena(feeds, nil)
-	check("RunArena(nil)", got, err)
-	if s := prog.NewSession(ramiel.WithArena(nil)); s.Arena() != nil {
-		t.Error("WithArena(nil) created an arena; want heap execution")
-	}
-}
-
-// TestSessionProfileToggle: Profile returns nil without WithProfiling and
-// the last run's lanes with it.
+// TestSessionProfileToggle: a session keeps its last run's profile — nil
+// before the first run, one entry per lane after it.
 func TestSessionProfileToggle(t *testing.T) {
 	prog, feeds := compiledSqueezenet(t, 16)
-	ctx := context.Background()
 
-	plain := prog.NewSession()
-	if _, err := plain.Run(ctx, feeds); err != nil {
-		t.Fatal(err)
-	}
-	if plain.Profile() != nil {
-		t.Error("Profile non-nil without WithProfiling")
-	}
-
-	profiled := prog.NewSession(ramiel.WithProfiling())
-	if profiled.Profile() != nil {
+	sess := prog.NewSession()
+	if sess.Profile() != nil {
 		t.Error("Profile non-nil before first run")
 	}
-	if _, err := profiled.Run(ctx, feeds); err != nil {
+	if _, err := sess.Run(context.Background(), feeds); err != nil {
 		t.Fatal(err)
 	}
-	prof := profiled.Profile()
+	prof := sess.Profile()
 	if prof == nil || len(prof.Lanes) != prog.NumClusters() || prof.Wall <= 0 {
 		t.Errorf("profile after run = %+v, want %d lanes and positive wall", prof, prog.NumClusters())
 	}

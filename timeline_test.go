@@ -81,7 +81,7 @@ func TestTimelineChromeTraceAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.EnableTimeline(1, 2)
-	sess := prog.NewSession(ramiel.WithProfiling())
+	sess := prog.NewSession()
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(g, 1)
 	// Warm once so the measured run reuses the arena steady state.
